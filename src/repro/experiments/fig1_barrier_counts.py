@@ -13,7 +13,11 @@ from repro.util.tables import format_table
 
 
 def compute(runner: ExperimentRunner) -> list[dict]:
-    """One row per benchmark: measured counts at both thread counts."""
+    """One row per benchmark: measured counts at both thread counts.
+
+    ``paper`` is ``None`` for programs outside the paper's suite
+    (``fuzz-<seed>`` scenarios, ``trace:`` workloads).
+    """
     rows = []
     for name in runner.benchmarks:
         counts = {
@@ -24,7 +28,7 @@ def compute(runner: ExperimentRunner) -> list[dict]:
                 "benchmark": name,
                 "barriers_8": counts[8],
                 "barriers_32": counts[32],
-                "paper": paper_data.BARRIER_COUNTS[name],
+                "paper": paper_data.BARRIER_COUNTS.get(name),
                 "invariant": counts[8] == counts[32],
             }
         )
@@ -36,7 +40,8 @@ def render(rows: list[dict]) -> str:
     table = format_table(
         ["benchmark", "8 threads", "32 threads", "paper", "thread-invariant"],
         [
-            [r["benchmark"], r["barriers_8"], r["barriers_32"], r["paper"],
+            [r["benchmark"], r["barriers_8"], r["barriers_32"],
+             "—" if r["paper"] is None else r["paper"],
              "yes" if r["invariant"] else "NO"]
             for r in rows
         ],

@@ -14,7 +14,11 @@ from repro.util.tables import format_table
 
 
 def compute(runner: ExperimentRunner) -> list[dict]:
-    """One row per (benchmark, cores) with the full selection summary."""
+    """One row per (benchmark, cores) with the full selection summary.
+
+    ``paper_significant`` is ``None`` for programs outside the paper's
+    suite (``fuzz-<seed>`` scenarios, ``trace:`` workloads).
+    """
     rows = []
     for name in runner.benchmarks:
         for nt in CORE_COUNTS:
@@ -37,9 +41,9 @@ def compute(runner: ExperimentRunner) -> list[dict]:
                         (p.region_index, p.multiplier)
                         for p in sel.significant_points
                     ],
-                    "paper_significant": paper_data.SIGNIFICANT_BARRIERPOINTS[
-                        (name, nt)
-                    ],
+                    "paper_significant": (
+                        paper_data.SIGNIFICANT_BARRIERPOINTS.get((name, nt))
+                    ),
                 }
             )
     return rows
@@ -56,7 +60,9 @@ def render(rows: list[dict]) -> str:
             points += " ..."
         body.append(
             [r["benchmark"], r["input_size"], r["cores"], r["num_barriers"],
-             r["num_significant"], r["paper_significant"],
+             r["num_significant"],
+             "—" if r["paper_significant"] is None
+             else r["paper_significant"],
              f"{r['num_insignificant']} / "
              f"{r['insig_combined_multiplier']:.1f} / "
              f"{r['insig_total_weight']:.1e}",

@@ -3,21 +3,15 @@
 ``benchmarks/test_perf.py`` uses these to time the fast engines against
 their seed references and to persist a machine-readable perf trajectory in
 ``benchmarks/results/BENCH_perf.json`` that future PRs must not regress.
-
-Timings can carry an execution *tier* label (``py`` for the pure-Python
-engines, ``nb`` for the numba-compiled kernels; see
-:mod:`repro.util.jit`), and :func:`time_call` supports explicit warmup
-calls so one-time costs — JIT compilation above all — never land inside
-the timed region.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-import time
 from typing import Any, Callable
 
 #: Trajectory entries kept in the report file (oldest dropped first).
@@ -32,25 +26,8 @@ class TimedResult:
     value: Any
 
 
-def time_call(
-    fn: Callable[[], Any], repeat: int = 1, warmup: int = 0
-) -> TimedResult:
-    """Time ``fn()`` with ``perf_counter``; keeps the best of ``repeat``.
-
-    Args:
-        fn: Zero-argument callable to measure.
-        repeat: Timed invocations; the fastest one wins (damps scheduler
-            and turbo noise).
-        warmup: Untimed invocations run first.  Use ``warmup >= 1``
-            whenever ``fn`` may trigger one-time work — JIT compilation,
-            cache population, lazy imports — that must not pollute the
-            measurement.
-
-    Returns:
-        The best wall-clock time and the value of the last *timed* call.
-    """
-    for _ in range(max(0, warmup)):
-        fn()
+def time_call(fn: Callable[[], Any], repeat: int = 1) -> TimedResult:
+    """Time ``fn()`` with ``perf_counter``; keeps the best of ``repeat``."""
     best = float("inf")
     value = None
     for _ in range(max(1, repeat)):
@@ -64,17 +41,16 @@ def time_call(
 
 @dataclass
 class PhaseTiming:
-    """One (workload, phase, tier) fast-vs-reference measurement."""
+    """One (workload, phase) fast-vs-reference measurement."""
 
     workload: str
     phase: str
     fast_seconds: float
     reference_seconds: float
-    tier: str = "py"
 
     @property
     def speedup(self) -> float:
-        """Reference time over fast time; inf if fast rounds to zero."""
+        """Reference time over fast time (>1 means the fast path wins)."""
         if self.fast_seconds <= 0.0:
             return float("inf")
         return self.reference_seconds / self.fast_seconds
@@ -93,92 +69,30 @@ class BenchmarkReport:
         phase: str,
         fast_seconds: float,
         reference_seconds: float,
-        tier: str = "py",
     ) -> PhaseTiming:
         """Record one measurement and return it."""
-        record = PhaseTiming(
-            workload, phase, fast_seconds, reference_seconds, tier
-        )
+        record = PhaseTiming(workload, phase, fast_seconds, reference_seconds)
         self.records.append(record)
         return record
 
-    def tiers(self) -> tuple[str, ...]:
-        """Distinct tiers measured, sorted."""
-        return tuple(sorted({r.tier for r in self.records}))
-
-    def combined_speedup(
-        self, phases: tuple[str, ...], tier: str = "py"
-    ) -> float:
-        """Aggregate speedup over the given phases, all workloads pooled.
-
-        Args:
-            phases: Phase names to pool.
-            tier: Which tier's ``fast_seconds`` to pool; the reference
-                side is tier-independent.
-
-        Returns:
-            Pooled reference seconds over pooled fast seconds.
-        """
-        rows = [
-            r for r in self.records if r.phase in phases and r.tier == tier
-        ]
-        fast = sum(r.fast_seconds for r in rows)
-        ref = sum(r.reference_seconds for r in rows)
+    def combined_speedup(self, phases: tuple[str, ...]) -> float:
+        """Aggregate speedup over the given phases, all workloads pooled."""
+        fast = sum(r.fast_seconds for r in self.records if r.phase in phases)
+        ref = sum(
+            r.reference_seconds for r in self.records if r.phase in phases
+        )
         if fast <= 0.0:
             return float("inf")
         return ref / fast
 
-    def tier_speedup(self, phases: tuple[str, ...], tier: str) -> float:
-        """Additional pooled speedup of ``tier`` over the py tier.
-
-        Ratio of pooled py-tier ``fast_seconds`` to pooled ``tier``
-        ``fast_seconds`` over matching (workload, phase) rows — the
-        *extra* factor the tier buys on top of the Python engines.
-        """
-        base = {
-            (r.workload, r.phase): r.fast_seconds
-            for r in self.records
-            if r.phase in phases and r.tier == "py"
-        }
-        rows = [
-            r for r in self.records
-            if r.phase in phases and r.tier == tier
-            and (r.workload, r.phase) in base
-        ]
-        fast = sum(r.fast_seconds for r in rows)
-        py = sum(base[(r.workload, r.phase)] for r in rows)
-        if fast <= 0.0:
-            return float("inf")
-        return py / fast
-
-    def _combined(self) -> dict:
-        """Per-tier combined-speedup block of the report."""
-        phases = tuple(sorted({r.phase for r in self.records}))
-        out: dict = {}
-        for tier in self.tiers():
-            entry = {
-                "profile+full_run": round(
-                    self.combined_speedup(("profile", "full_run"), tier), 3
-                ),
-                "all_phases": round(self.combined_speedup(phases, tier), 3),
-            }
-            if tier != "py":
-                entry["vs_py"] = round(
-                    self.tier_speedup(("profile", "full_run"), tier), 3
-                )
-            out[tier] = entry
-        return out
-
     def to_dict(self) -> dict:
         """The JSON-ready report structure.
 
-        Records are sorted by (workload, phase, tier) so the file is
-        byte-stable across runs that measure the same grid, keeping
-        diffs reviewable.
+        Records are sorted by (workload, phase) so the file is byte-stable
+        across runs that measure the same grid, keeping diffs reviewable.
         """
-        ordered = sorted(
-            self.records, key=lambda r: (r.workload, r.phase, r.tier)
-        )
+        phases = tuple(sorted({r.phase for r in self.records}))
+        ordered = sorted(self.records, key=lambda r: (r.workload, r.phase))
         return {
             "scale": self.scale,
             "python": platform.python_version(),
@@ -187,17 +101,23 @@ class BenchmarkReport:
                 {**asdict(r), "speedup": round(r.speedup, 3)}
                 for r in ordered
             ],
-            "combined": self._combined(),
+            "combined": {
+                "profile+full_run": round(
+                    self.combined_speedup(("profile", "full_run")), 3
+                ),
+                "all_phases": round(self.combined_speedup(phases), 3),
+            },
         }
 
     def write(self, path: Path) -> dict:
         """Serialize to ``path``, extending its perf trajectory.
 
-        Instead of wholesale-rewriting history, the previous file's
-        ``trajectory`` list is carried over and the current run's
-        summary appended (bounded by :data:`MAX_TRAJECTORY`), so the
-        committed file accumulates a per-tier speedup record across
-        PRs.  Returns the written structure.
+        The previous file's ``trajectory`` list is carried over and the
+        current run's summary appended (bounded by
+        :data:`MAX_TRAJECTORY`).  Entries written while ``combined`` was
+        keyed by engine tier (``{"py": {...}}``) are flattened to their
+        ``py`` block, so every entry has the same shape.  Returns the
+        written structure.
         """
         payload = self.to_dict()
         trajectory: list[dict] = []
@@ -206,7 +126,11 @@ class BenchmarkReport:
                 previous = json.loads(path.read_text())
             except (OSError, ValueError):
                 previous = {}
-            trajectory = list(previous.get("trajectory", []))
+            for entry in previous.get("trajectory", []):
+                combined = entry.get("combined", {})
+                trajectory.append(
+                    {**entry, "combined": combined.get("py", combined)}
+                )
         trajectory.append({
             "scale": payload["scale"],
             "python": payload["python"],

@@ -125,6 +125,33 @@ class TestTable3:
         assert "Table III" in table3_barrierpoints.run(runner)
 
 
+class TestNonPaperWorkloads:
+    """Fig. 1 and Table III render programs the paper never published."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_runner(self):
+        return ExperimentRunner(
+            scale=0.05,
+            benchmarks=("fuzz-1",),
+            store=None,
+            simpoint=SimPointConfig(max_k=5, kmeans_restarts=1),
+        )
+
+    def test_fig1_renders_missing_paper_count(self, fuzz_runner):
+        (row,) = fig1_barrier_counts.compute(fuzz_runner)
+        assert row["paper"] is None and row["invariant"]
+        line = fig1_barrier_counts.run(fuzz_runner).splitlines()[-1]
+        assert line.split()[0] == "fuzz-1" and "—" in line.split()
+
+    def test_table3_renders_missing_paper_barrierpoints(self, fuzz_runner):
+        rows = table3_barrierpoints.compute(fuzz_runner)
+        assert [r["cores"] for r in rows] == [8, 32]
+        assert all(r["paper_significant"] is None for r in rows)
+        body = table3_barrierpoints.run(fuzz_runner).splitlines()[-2:]
+        for line in body:
+            assert line.split()[0] == "fuzz-1" and "—" in line.split()
+
+
 class TestAblations:
     def test_thread_combining(self, runner):
         rows = ablations.compute_thread_combining(runner)

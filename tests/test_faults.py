@@ -10,7 +10,9 @@ property.
 
 from __future__ import annotations
 
+import json
 import os
+import time
 
 import pytest
 
@@ -18,8 +20,16 @@ from repro.errors import (
     ConfigError,
     InjectedFaultError,
     RetryExhaustedError,
+    TaskTimeoutError,
 )
-from repro.experiments.common import ExperimentRunner, RetryPolicy
+from repro.experiments.common import (
+    ExperimentRunner,
+    RetryPolicy,
+    RunReport,
+    TaskReport,
+    _time_limit,
+)
+from repro.experiments.journal import RunJournal
 from repro.faults import (
     ENV_SEED,
     ENV_SPEC,
@@ -162,6 +172,71 @@ class TestHooks:
         maybe_inject("store.put", key="k")  # partial_write never raises
         assert maybe_corrupt("store.put", "k", b"x" * 100) == b"x" * 25
         assert maybe_corrupt("store.get", "k", b"x" * 100) == b"x" * 100
+
+
+class TestRunnerPlumbing:
+    """The in-process pieces of the fault-tolerant runner."""
+
+    def test_run_report_dict_and_render(self):
+        report = RunReport(
+            tasks=[
+                TaskReport("npb-is/8t", attempts=2, disposition="completed",
+                           errors=["InjectedFaultError: a", "OSError: b"]),
+                TaskReport("npb-is/32t", attempts=1,
+                           disposition="completed"),
+            ],
+            pool_failures=1,
+            serial_fallback=True,
+        )
+        assert report.noteworthy()
+        assert not RunReport(tasks=[TaskReport("x", 1, "completed")]) \
+            .noteworthy()
+        assert report.to_dict() == {
+            "pool_failures": 1,
+            "serial_fallback": True,
+            "resumed": 0,
+            "tasks": [
+                {"task": "npb-is/8t", "attempts": 2,
+                 "disposition": "completed",
+                 "errors": ["InjectedFaultError: a", "OSError: b"]},
+                {"task": "npb-is/32t", "attempts": 1,
+                 "disposition": "completed", "errors": []},
+            ],
+        }
+        assert report.render().splitlines() == [
+            "run report: 0 resumed, 1 pool failure(s), degraded to serial",
+            "  npb-is/8t: completed after 2 attempt(s) "
+            "(InjectedFaultError: a; OSError: b)",
+            "  npb-is/32t: completed after 1 attempt(s)",
+        ]
+
+    def test_time_limit_raises_and_restores(self):
+        with pytest.raises(TaskTimeoutError, match="slow task"):
+            with _time_limit(0.05, "slow task"):
+                time.sleep(2)
+        with _time_limit(None, "unbounded"):
+            pass
+        # The alarm was disarmed: a later sleep past the budget is fine.
+        time.sleep(0.1)
+
+    def test_retry_policy_from_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
+        policy = RetryPolicy.from_env(max_retries=1)
+        assert (policy.timeout, policy.max_retries) == (2.5, 1)
+
+    def test_journal_skips_truncated_and_foreign_lines(self, tmp_path):
+        journal = RunJournal(tmp_path / "journal" / "run.jsonl")
+        assert journal.completed_passes() == {}
+        journal.record_pass("k1", BENCH, 8, None, ("profiles",))
+        journal.record_pass("k1", BENCH, 8, None, ("full",))
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"event": "other", "key": "k2"}) + "\n")
+            handle.write('{"event": "pass", "key": "k3", "kin')  # crash
+        assert journal.completed_passes() == {"k1": {"profiles", "full"}}
+        journal.clear()
+        journal.clear()  # already gone: still fine
+        assert journal.completed_passes() == {}
 
 
 def make_runner(store_dir, workers=2, **kwargs):

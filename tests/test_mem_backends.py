@@ -395,6 +395,36 @@ class TestCounters:
         d = AccessCounters.from_state(c.to_state()).delta(c)
         assert d.loads == 0 and d.cross_complex_transfers == 0
 
+    def test_value_equality_and_hash(self):
+        """Identically driven hierarchies give equal, equally hashed
+        snapshots; one counter off breaks equality."""
+        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
+        a, b = MemoryHierarchy(machine), MemoryHierarchy(machine)
+        drive(a, accesses=2000)
+        drive(b, accesses=2000)
+        snap_a, snap_b = a.snapshot(), b.snapshot()
+        assert snap_a is not snap_b
+        assert snap_a == snap_b and hash(snap_a) == hash(snap_b)
+        assert len({snap_a, snap_b}) == 1
+        for name in AccessCounters.__slots__:
+            state = snap_a.to_state()
+            value = state[name]
+            state[name] = (
+                (value[0] + 1, *value[1:]) if isinstance(value, tuple)
+                else value + 1
+            )
+            assert AccessCounters.from_state(state) != snap_a, name
+        assert snap_a != snap_a.to_state()
+
+    def test_region_metrics_compare_by_value(self):
+        from repro.workloads import get_workload
+
+        workload = get_workload("npb-is", 4, scale=0.1)
+        first = Machine(tiny_machine()).run_full(workload)
+        second = Machine(tiny_machine()).run_full(workload)
+        assert first.regions == second.regions
+        assert hash(first.regions) == hash(second.regions)
+
     def test_unknown_state_keys_ignored(self):
         state = AccessCounters(dram_reads_per_socket=(1,),
                                dram_writebacks_per_socket=(0,)).to_state()

@@ -1,17 +1,14 @@
 """Property tests for the stack-distance engines.
 
-Several implementations of exact LRU stack distances coexist in the
-repo: the vectorized :class:`~repro.profiling.stackdist.StackDistanceEngine`
+Three implementations of exact LRU stack distances coexist in the repo:
+the vectorized :class:`~repro.profiling.stackdist.StackDistanceEngine`
 (the hot path), the streaming dict+Fenwick
-:class:`~repro.profiling.stackdist.OlkenStackProfiler`, the seed
-:class:`repro._reference.ReferenceLruStackProfiler` cascade, and the
-flat-array kernel of :mod:`repro.profiling.kernels` in both its
-interpreted (``kernel-py``) and, when numba is installed, compiled
-(``nb``) tiers.  These tests assert all of them produce identical
-distances and LDV histograms on seeded random streams and on every
-adversarial degenerate shape (empty, single line, all-unique,
-all-repeat, sawtooth, reverse reuse), at several chunking granularities
-— the property the replayed-trace profiles rest on.
+:class:`~repro.profiling.stackdist.OlkenStackProfiler`, and the seed
+:class:`repro._reference.ReferenceLruStackProfiler` cascade.  These
+tests assert all three produce identical LDV histograms on seeded random
+streams and on every adversarial degenerate shape (empty, single line,
+all-unique, all-repeat, sawtooth, reverse reuse), at several chunking
+granularities — the property the replayed-trace profiles rest on.
 """
 
 from __future__ import annotations
@@ -26,13 +23,8 @@ from repro.profiling.ldv import (
     naive_stack_distances,
 )
 from repro.profiling.ldv import NUM_LDV_BUCKETS
-from repro.profiling.kernels import KernelDistanceEngine
 from repro.profiling.stackdist import OlkenStackProfiler, StackDistanceEngine
 from repro.trace.rng import stream_rng
-from repro.util import jit
-
-#: Kernel tiers to battery-test; nb auto-skips when numba is absent.
-KERNEL_TIERS = ["kernel-py"] + (["nb"] if jit.numba_available() else [])
 
 
 def _histogram(distances: np.ndarray) -> np.ndarray:
@@ -51,40 +43,25 @@ def _chunked(stream: np.ndarray, chunk: int):
 
 
 def assert_three_way_identical(stream: np.ndarray, chunk: int) -> None:
-    """Every engine agrees with every other and with the naive stack."""
+    """All three engines agree with each other and with the naive stack."""
     engine = StackDistanceEngine()
     olken = OlkenStackProfiler()
     fast_profiler = LruStackProfiler()
     ref_profiler = ReferenceLruStackProfiler()
-    kernel_engines = {}
-    for tier in KERNEL_TIERS:
-        with jit.forced_tier(tier):  # bundle is bound at construction
-            kernel_engines[tier] = KernelDistanceEngine()
 
     engine_dists = []
     olken_dists = []
-    kernel_dists = {tier: [] for tier in KERNEL_TIERS}
     for piece in _chunked(stream, chunk):
         engine_dists.append(engine.observe(piece).distances)
         olken_dists.append(olken.observe(piece))
         fast_profiler.observe(piece)
         ref_profiler.observe(piece)
-        for tier, kengine in kernel_engines.items():
-            with jit.forced_tier(tier):
-                kernel_dists[tier].append(kengine.observe(piece).distances)
     engine_all = np.concatenate(engine_dists) if engine_dists else stream
     olken_all = np.concatenate(olken_dists) if olken_dists else stream
 
     expected = np.asarray(naive_stack_distances(stream), dtype=np.int64)
     assert engine_all.tolist() == expected.tolist()
     assert olken_all.tolist() == expected.tolist()
-    for tier in KERNEL_TIERS:
-        kernel_all = (
-            np.concatenate(kernel_dists[tier]) if kernel_dists[tier]
-            else stream
-        )
-        assert kernel_all.tolist() == expected.tolist(), tier
-        assert kernel_engines[tier].unique_lines == engine.unique_lines, tier
 
     expected_hist = _histogram(expected)
     assert np.array_equal(fast_profiler.take_histogram(), expected_hist)

@@ -24,32 +24,6 @@ class TestTimeCall:
         assert len(calls) == 3
         assert result.value == 3  # last call's value
 
-    def test_warmup_calls_run_before_timing(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            return len(calls)
-
-        result = time_call(fn, repeat=2, warmup=3)
-        assert len(calls) == 5
-        assert result.value == 5  # last *timed* call's value
-
-    def test_warmup_excluded_from_timed_region(self):
-        # A one-time cost (JIT compilation stand-in) on the first call
-        # must not leak into fast_seconds when warmup >= 1.
-        import time as _time
-
-        state = {"first": True}
-
-        def fn():
-            if state["first"]:
-                state["first"] = False
-                _time.sleep(0.05)
-
-        result = time_call(fn, repeat=1, warmup=1)
-        assert result.seconds < 0.05
-
 
 class TestPhaseTiming:
     def test_speedup(self):
@@ -59,10 +33,6 @@ class TestPhaseTiming:
     def test_zero_fast_time_is_inf(self):
         record = PhaseTiming("w", "p", fast_seconds=0.0, reference_seconds=1.0)
         assert record.speedup == float("inf")
-
-    def test_default_tier_is_py(self):
-        record = PhaseTiming("w", "p", 1.0, 1.0)
-        assert record.tier == "py"
 
 
 class TestBenchmarkReport:
@@ -93,10 +63,9 @@ class TestBenchmarkReport:
         assert on_disk == payload
         assert on_disk["scale"] == 0.5
         assert len(on_disk["records"]) == 4
-        assert on_disk["combined"]["py"]["profile+full_run"] == \
-            pytest.approx(2.5)
+        assert on_disk["combined"]["profile+full_run"] == pytest.approx(2.5)
         for record in on_disk["records"]:
-            assert {"workload", "phase", "tier", "fast_seconds",
+            assert {"workload", "phase", "fast_seconds",
                     "reference_seconds", "speedup"} <= set(record)
 
     def test_records_deterministically_ordered(self, tmp_path):
@@ -104,11 +73,9 @@ class TestBenchmarkReport:
         a = BenchmarkReport(scale=0.5)
         a.add("w2", "profile", 1.0, 2.0)
         a.add("w1", "full_run", 1.0, 2.0)
-        a.add("w1", "full_run", 0.5, 2.0, tier="nb")
         a.add("w1", "profile", 1.0, 2.0)
         b = BenchmarkReport(scale=0.5)
         b.add("w1", "profile", 1.0, 2.0)
-        b.add("w1", "full_run", 0.5, 2.0, tier="nb")
         b.add("w1", "full_run", 1.0, 2.0)
         b.add("w2", "profile", 1.0, 2.0)
         a.write(tmp_path / "a.json")
@@ -116,25 +83,10 @@ class TestBenchmarkReport:
         assert (tmp_path / "a.json").read_text() == \
             (tmp_path / "b.json").read_text()
         keys = [
-            (r["workload"], r["phase"], r["tier"])
+            (r["workload"], r["phase"])
             for r in json.loads((tmp_path / "a.json").read_text())["records"]
         ]
         assert keys == sorted(keys)
-
-    def test_per_tier_combined_and_vs_py(self):
-        report = self._report()
-        report.add("a", "profile", 0.25, 4.0, tier="nb")
-        report.add("a", "full_run", 0.5, 4.0, tier="nb")
-        assert report.tiers() == ("nb", "py")
-        payload = report.to_dict()
-        assert payload["combined"]["py"]["profile+full_run"] == \
-            pytest.approx(2.5)
-        # nb pooled: refs (4+4) / nb (0.25+0.5), rounded to 3 places
-        assert payload["combined"]["nb"]["profile+full_run"] == \
-            pytest.approx(8 / 0.75, abs=5e-4)
-        # additional over py on matching rows: (1+2) / (0.25+0.5)
-        assert payload["combined"]["nb"]["vs_py"] == pytest.approx(4.0)
-        assert "vs_py" not in payload["combined"]["py"]
 
     def test_write_appends_trajectory(self, tmp_path):
         path = tmp_path / "BENCH_perf.json"
@@ -151,3 +103,18 @@ class TestBenchmarkReport:
         path.write_text("{not json")
         payload = self._report().write(path)
         assert len(payload["trajectory"]) == 1
+
+    def test_per_tier_trajectory_entries_still_load(self, tmp_path):
+        # Files written while ``combined`` was keyed by engine tier keep
+        # loading; their entries are flattened to the py block.
+        path = tmp_path / "BENCH_perf.json"
+        legacy = {"scale": 0.5, "python": "3.11.7", "machine": "x86_64",
+                  "combined": {"py": {"profile+full_run": 3.1,
+                                      "all_phases": 3.2}}}
+        path.write_text(json.dumps({"trajectory": [legacy]}))
+        payload = self._report().write(path)
+        assert [e["combined"] for e in payload["trajectory"]] == [
+            {"profile+full_run": 3.1, "all_phases": 3.2},
+            payload["combined"],
+        ]
+        assert payload["trajectory"][0]["python"] == "3.11.7"
