@@ -30,35 +30,60 @@ class KMeansResult:
         return self.centers.shape[0]
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (n_points, n_centers)."""
-    p_sq = np.einsum("ij,ij->i", points, points)[:, None]
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """Squared row norms as a column, the ``p_sq`` of the distances."""
+    return np.einsum("ij,ij->i", points, points)[:, None]
+
+
+def _pairwise_sq_dists(
+    points: np.ndarray, centers: np.ndarray, p_sq: np.ndarray
+) -> np.ndarray:
+    """Squared Euclidean distances, shape (n_points, n_centers).
+
+    ``p_sq`` is ``_sq_norms(points)``, computed once per fit.
+    """
     c_sq = np.einsum("ij,ij->i", centers, centers)[None, :]
     cross = points @ centers.T
     return np.maximum(p_sq + c_sq - 2.0 * cross, 0.0)
 
 
+def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """One index drawn with probabilities ``p``.
+
+    Bit-identical to ``rng.choice(len(p), p=p)``: the same cumulative
+    table searched with the same single ``Generator.random`` draw, minus
+    ``choice``'s per-call validation.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp_init(
-    points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray,
+    weights: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    p_sq: np.ndarray,
 ) -> np.ndarray:
     """Weighted k-means++ seeding."""
-    n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     probs = weights / weights.sum()
-    first = rng.choice(n, p=probs)
+    first = _draw(rng, probs)
     centers[0] = points[first]
-    closest = _pairwise_sq_dists(points, centers[:1]).ravel()
+    closest = _pairwise_sq_dists(points, centers[:1], p_sq).ravel()
     for j in range(1, k):
         scores = closest * weights
         total = scores.sum()
         if total <= 0.0:
             # All points coincide with chosen centers; reuse random picks.
-            idx = rng.choice(n, p=probs)
+            idx = _draw(rng, probs)
         else:
-            idx = rng.choice(n, p=scores / total)
+            idx = _draw(rng, scores / total)
         centers[j] = points[idx]
         closest = np.minimum(
-            closest, _pairwise_sq_dists(points, centers[j : j + 1]).ravel()
+            closest,
+            _pairwise_sq_dists(points, centers[j : j + 1], p_sq).ravel(),
         )
     return centers
 
@@ -89,42 +114,55 @@ def weighted_kmeans(
         raise ClusteringError(f"k must be in [1, {n}], got {k}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
+    p_sq = _sq_norms(pts)
+    rows = np.arange(n)
+    weighted_pts = pts * wts[:, None]
     best: KMeansResult | None = None
     for _ in range(max(1, restarts)):
-        centers = _kmeans_pp_init(pts, wts, k, rng)
+        centers = _kmeans_pp_init(pts, wts, k, rng, p_sq)
         labels = np.zeros(n, dtype=np.int64)
         iterations = 0
         for iterations in range(1, max_iterations + 1):
-            dists = _pairwise_sq_dists(pts, centers)
+            dists = _pairwise_sq_dists(pts, centers, p_sq)
             new_labels = dists.argmin(axis=1)
             # Re-seed any empty cluster with the worst-fit point.  Zero the
             # stolen point's residual so two empty clusters never take the
             # same point, and never steal a cluster's only member (that
-            # would just move the hole).
-            for j in range(k):
-                if not np.any(new_labels == j):
-                    residuals = dists[np.arange(n), new_labels] * wts
-                    counts = np.bincount(new_labels, minlength=k)
-                    stealable = counts[new_labels] > 1
-                    if not np.any(stealable):
-                        continue  # fewer distinct points than clusters
-                    residuals[~stealable] = -1.0
-                    worst = int(residuals.argmax())
-                    new_labels[worst] = j
-                    centers[j] = pts[worst]
-                    dists[worst, :] = np.inf
-                    dists[worst, j] = 0.0
+            # would just move the hole) -- so one bincount up front finds
+            # every cluster that needs a reseed.
+            empty = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
+            for j in empty:
+                residuals = dists[rows, new_labels] * wts
+                counts = np.bincount(new_labels, minlength=k)
+                stealable = counts[new_labels] > 1
+                if not np.any(stealable):
+                    break  # fewer distinct points than clusters
+                residuals[~stealable] = -1.0
+                worst = int(residuals.argmax())
+                new_labels[worst] = j
+                centers[j] = pts[worst]
+                dists[worst, :] = np.inf
+                dists[worst, j] = 0.0
             if np.array_equal(new_labels, labels) and iterations > 1:
                 break
             labels = new_labels
-            for j in range(k):
-                members = labels == j
-                if not np.any(members):
-                    continue  # duplicate-heavy data: keep the old center
-                w = wts[members]
-                centers[j] = (pts[members] * w[:, None]).sum(axis=0) / w.sum()
-        dists = _pairwise_sq_dists(pts, centers)
-        distortion = float((dists[np.arange(n), labels] * wts).sum())
+            # Weighted centroids.  A stable sort by label lays each
+            # cluster's members out contiguously in ascending order, so
+            # every per-cluster sum sees the same rows in the same order
+            # as summing ``pts[members] * w[:, None]`` directly.
+            # Duplicate-heavy data can leave a cluster empty: it keeps its
+            # old center.
+            order = labels.argsort(kind="stable")
+            grouped_pts = weighted_pts[order]
+            grouped_wts = wts[order]
+            ends = np.bincount(labels, minlength=k).cumsum().tolist()
+            for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
+                if lo < hi:
+                    centers[j] = np.add.reduce(
+                        grouped_pts[lo:hi], axis=0
+                    ) / np.add.reduce(grouped_wts[lo:hi])
+        dists = _pairwise_sq_dists(pts, centers, p_sq)
+        distortion = float((dists[rows, labels] * wts).sum())
         candidate = KMeansResult(
             labels=labels, centers=centers.copy(),
             distortion=distortion, iterations=iterations,

@@ -8,6 +8,7 @@ and receives cluster labels and one representative region per cluster.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,12 @@ class SimPointClusterer:
     def __init__(self, config: SimPointConfig) -> None:
         self.config = config
 
-    def fit(self, signatures: np.ndarray, weights: np.ndarray) -> ClusteringResult:
+    def fit(
+        self,
+        signatures: np.ndarray,
+        weights: np.ndarray,
+        max_ks: Sequence[int] | None = None,
+    ) -> ClusteringResult | dict[int, ClusteringResult]:
         """Cluster one signature per region, weighted by instructions.
 
         Sweeps ``k = 1 .. min(maxK, n)``, scores each with weighted BIC and
@@ -60,6 +66,13 @@ class SimPointClusterer:
         configured threshold (SimPoint's rule).  The representative of each
         cluster is the member closest to the cluster centroid, ties broken
         toward the longer region.
+
+        Without ``max_ks`` the sweep runs to the configured ``max_k`` and
+        one result is returned.  With ``max_ks`` it runs once, to the
+        largest of them, and returns ``{max_k: result}``: fit(k) depends
+        only on the data, ``k`` and ``seed + k``, so a smaller maxK is the
+        same selection rule over a prefix of ``bic_by_k`` -- exactly what
+        a separate sweep would give.
         """
         sig = np.asarray(signatures, dtype=np.float64)
         wts = np.asarray(weights, dtype=np.float64)
@@ -68,14 +81,15 @@ class SimPointClusterer:
         n = sig.shape[0]
         if wts.shape != (n,):
             raise ClusteringError(f"weights shape {wts.shape} != ({n},)")
-
         cfg = self.config
-        projected = random_projection(sig, cfg.projected_dims, cfg.seed)
+        wanted = (cfg.max_k,) if max_ks is None else tuple(max_ks)
+        if not wanted or min(wanted) < 1:
+            raise ClusteringError(f"max_ks must be positive, got {wanted}")
 
-        max_k = min(cfg.max_k, n)
+        projected = random_projection(sig, cfg.projected_dims, cfg.seed)
         fits = {}
         bic_by_k: dict[int, float] = {}
-        for k in range(1, max_k + 1):
+        for k in range(1, min(max(wanted), n) + 1):
             fit = weighted_kmeans(
                 projected, wts, k,
                 seed=cfg.seed + k,
@@ -85,20 +99,25 @@ class SimPointClusterer:
             fits[k] = fit
             bic_by_k[k] = weighted_bic(projected, wts, fit.labels, fit.centers)
 
-        chosen_k = self._select_k(bic_by_k)
-        best = fits[chosen_k]
-        labels, centers = self._compact(best.labels, best.centers)
-        reps = self._representatives(projected, wts, labels, centers)
-        # ``chosen_k`` stays the *selected* (pre-compaction) k so it keys
-        # ``bic_by_k``; the compacted cluster count is ``num_clusters``.
-        return ClusteringResult(
-            labels=labels,
-            representatives=reps,
-            chosen_k=chosen_k,
-            bic_by_k=bic_by_k,
-            projected=projected,
-            weights=wts,
-        )
+        results = {}
+        for max_k in wanted:
+            prefix = {k: b for k, b in bic_by_k.items() if k <= max_k}
+            chosen_k = self._select_k(prefix)
+            best = fits[chosen_k]
+            labels, centers = self._compact(best.labels, best.centers)
+            # ``chosen_k`` stays the *selected* (pre-compaction) k so it
+            # keys ``bic_by_k``; the compacted count is ``num_clusters``.
+            results[max_k] = ClusteringResult(
+                labels=labels,
+                representatives=self._representatives(
+                    projected, wts, labels, centers
+                ),
+                chosen_k=chosen_k,
+                bic_by_k=prefix,
+                projected=projected,
+                weights=wts,
+            )
+        return results[cfg.max_k] if max_ks is None else results
 
     @staticmethod
     def _compact(

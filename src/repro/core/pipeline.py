@@ -18,6 +18,7 @@ evaluation harness exercises them separately per figure.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.config import MachineConfig, SimPointConfig, simpoint_defaults
@@ -88,17 +89,38 @@ class BarrierPointPipeline:
         self, workload: Workload, profiles: list[RegionProfile] | None = None
     ) -> BarrierPointSelection:
         """Cluster region signatures and pick barrierpoints."""
+        max_k = self.simpoint.max_k
+        return self.select_many(workload, profiles, (max_k,))[max_k]
+
+    def select_many(
+        self,
+        workload: Workload,
+        profiles: list[RegionProfile] | None,
+        max_ks: Sequence[int],
+    ) -> dict[int, BarrierPointSelection]:
+        """Barrierpoints for every maxK in ``max_ks`` from one BIC sweep.
+
+        The signature matrix is built once and clustered once, to the
+        largest maxK; each smaller maxK is derived from that sweep (see
+        :meth:`SimPointClusterer.fit`).  Returns ``{max_k: selection}``,
+        each equal to what ``select`` gives at that ``max_k``.
+        """
         if profiles is None:
             profiles = self.profile(workload)
         matrix, weights = build_signature_matrix(profiles, self.signature)
-        clustering = SimPointClusterer(self.simpoint).fit(matrix, weights)
-        return select_barrierpoints(
-            clustering,
-            weights,
-            workload_name=workload.name,
-            num_threads=workload.num_threads,
-            signature_label=self.signature.label,
+        clusterings = SimPointClusterer(self.simpoint).fit(
+            matrix, weights, max_ks
         )
+        return {
+            max_k: select_barrierpoints(
+                clustering,
+                weights,
+                workload_name=workload.name,
+                num_threads=workload.num_threads,
+                signature_label=self.signature.label,
+            )
+            for max_k, clustering in clusterings.items()
+        }
 
     # -- stage 3a: reference / perfect-warmup evaluation --------------------
 

@@ -31,6 +31,7 @@ import os
 import signal
 import time
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -978,21 +979,44 @@ class ExperimentRunner:
         max_k: int | None = None,
         machine: str | None = None,
     ) -> BarrierPointSelection:
-        """Barrierpoint selection for a signature variant (cached)."""
-        key = (name, num_threads, variant, max_k, machine)
-        if key not in self._selections:
-            signature = SIGNATURE_VARIANTS[variant]
-            simpoint = self.simpoint
-            if max_k is not None:
-                from dataclasses import replace
+        """Barrierpoint selection for a signature variant (cached).
 
-                simpoint = replace(simpoint, max_k=max_k)
-            pipe = self.pipeline(num_threads, signature, simpoint, machine)
-            self._selections[key] = pipe.select(
+        ``max_k`` defaults to the runner's SimPoint ``max_k``.
+        """
+        max_k = self.simpoint.max_k if max_k is None else max_k
+        return self.selections(
+            name, num_threads, variant, (max_k,), machine
+        )[max_k]
+
+    def selections(
+        self,
+        name: str,
+        num_threads: int,
+        variant: str,
+        max_ks: Sequence[int],
+        machine: str | None = None,
+    ) -> dict[int, BarrierPointSelection]:
+        """Selections for several maxK values (cached per maxK).
+
+        Every maxK not yet cached comes from one signature build and one
+        BIC sweep (:meth:`BarrierPointPipeline.select_many`).
+        """
+        base = (name, num_threads, variant)
+        missing = [
+            k for k in max_ks if base + (k, machine) not in self._selections
+        ]
+        if missing:
+            pipe = self.pipeline(
+                num_threads, SIGNATURE_VARIANTS[variant], machine=machine
+            )
+            computed = pipe.select_many(
                 self.workload(name, num_threads),
                 self.profiles(name, num_threads, machine),
+                missing,
             )
-        return self._selections[key]
+            for k, sel in computed.items():
+                self._selections[base + (k, machine)] = sel
+        return {k: self._selections[base + (k, machine)] for k in max_ks}
 
     # ------------------------------------------------------------------
     # Evaluations

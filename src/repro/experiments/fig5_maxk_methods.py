@@ -22,6 +22,12 @@ VARIANTS = tuple(SIGNATURE_VARIANTS)
 def compute(runner: ExperimentRunner) -> dict:
     """avg abs %% error per (variant, maxK)."""
     grid: dict[tuple[str, int], float] = {}
+    # One signature build and one BIC sweep serve every maxK of a
+    # (variant, program, core count).
+    for variant in VARIANTS:
+        for name in runner.benchmarks:
+            for nt in CORE_COUNTS:
+                runner.selections(name, nt, variant, MAX_K_SWEEP)
     for variant in VARIANTS:
         for max_k in MAX_K_SWEEP:
             errors = []

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clustering import kmeans, simpoint
 from repro.clustering.bic import weighted_bic
-from repro.clustering.kmeans import weighted_kmeans
+from repro.clustering.kmeans import (
+    _draw,
+    _kmeans_pp_init,
+    _pairwise_sq_dists,
+    _sq_norms,
+    weighted_kmeans,
+)
 from repro.clustering.normalize import normalize_l1, normalize_rows
 from repro.clustering.projection import random_projection
 from repro.clustering.simpoint import SimPointClusterer
@@ -150,6 +157,95 @@ class TestWeightedKMeans:
         assert result.labels.shape == (12,)
         assert set(result.labels.tolist()) <= set(range(k))
         assert np.isfinite(result.centers).all()
+
+
+def _choice_pp_init(points, weights, k, rng):
+    """k-means++ seeding drawn with ``Generator.choice`` (the oracle).
+
+    Returns the centers and the index of every pick.
+    """
+    n = points.shape[0]
+    p_sq = _sq_norms(points)
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    probs = weights / weights.sum()
+    picks = [rng.choice(n, p=probs)]
+    centers[0] = points[picks[0]]
+    closest = _pairwise_sq_dists(points, centers[:1], p_sq).ravel()
+    for j in range(1, k):
+        scores = closest * weights
+        total = scores.sum()
+        if total <= 0.0:
+            picks.append(rng.choice(n, p=probs))
+        else:
+            picks.append(rng.choice(n, p=scores / total))
+        centers[j] = points[picks[-1]]
+        closest = np.minimum(
+            closest, _pairwise_sq_dists(points, centers[j : j + 1], p_sq).ravel()
+        )
+    return centers, picks
+
+
+class TestKMeansPlusPlusDraws:
+    """The cumsum + searchsorted draw is ``Generator.choice``, bit for bit."""
+
+    @staticmethod
+    def _rng(seed):
+        return np.random.Generator(np.random.PCG64(seed))
+
+    @staticmethod
+    def _pp_init(points, weights, k, rng, monkeypatch):
+        """``_kmeans_pp_init``'s centers and the index of every pick."""
+        picks = []
+
+        def recording(rng, p):
+            picks.append(_draw(rng, p))
+            return picks[-1]
+
+        monkeypatch.setattr(kmeans, "_draw", recording)
+        centers = _kmeans_pp_init(points, weights, k, rng, _sq_norms(points))
+        return centers, picks
+
+    def _assert_same_seeding(self, points, weights, ks, seed, monkeypatch):
+        ours, theirs = self._rng(seed), self._rng(seed)
+        for k in ks:
+            centers, picks = self._pp_init(
+                points, weights, k, ours, monkeypatch
+            )
+            expected_centers, expected_picks = _choice_pp_init(
+                points, weights, k, theirs
+            )
+            assert picks == expected_picks
+            np.testing.assert_array_equal(centers, expected_centers)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_draw_matches_choice(self, seed):
+        data = np.random.default_rng(seed)
+        p = data.random(int(data.integers(1, 50)))
+        p[data.random(p.size) < 0.3] = 0.0
+        p[-1] += 1e-3  # at least one positive probability
+        p /= p.sum()
+        ours, theirs = self._rng(seed), self._rng(seed)
+        for _ in range(25):
+            assert _draw(ours, p) == theirs.choice(p.size, p=p)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_positive_scores_branch(self, seed, monkeypatch):
+        data = np.random.default_rng(seed)
+        points = data.random((30, 4))
+        weights = data.integers(1, 1000, 30).astype(float)
+        self._assert_same_seeding(
+            points, weights, (1, 3, 8, 30), seed, monkeypatch
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coincident_points_branch(self, seed, monkeypatch):
+        """All points equal: every score is 0 and later picks reuse the
+        weight distribution (the ``total <= 0`` branch)."""
+        points = np.full((12, 3), 2.5)
+        weights = np.random.default_rng(seed).random(12) + 0.5
+        self._assert_same_seeding(points, weights, (6, 12), seed, monkeypatch)
 
 
 class TestWeightedBic:
@@ -298,3 +394,93 @@ class TestSimPointClusterer:
         for cluster in range(result.num_clusters):
             seen.extend(result.members_of(cluster).tolist())
         assert sorted(seen) == list(range(10))
+
+
+def _per_max_k_oracle(clusterer, signatures, weights, max_k):
+    """One independent k = 1..min(maxK, n) sweep, as before derivation."""
+    cfg = clusterer.config
+    projected = random_projection(signatures, cfg.projected_dims, cfg.seed)
+    fits, bic_by_k = {}, {}
+    for k in range(1, min(max_k, signatures.shape[0]) + 1):
+        fits[k] = weighted_kmeans(
+            projected, weights, k,
+            seed=cfg.seed + k,
+            max_iterations=cfg.kmeans_iterations,
+            restarts=cfg.kmeans_restarts,
+        )
+        bic_by_k[k] = weighted_bic(
+            projected, weights, fits[k].labels, fits[k].centers
+        )
+    chosen_k = clusterer._select_k(bic_by_k)
+    labels, centers = clusterer._compact(
+        fits[chosen_k].labels, fits[chosen_k].centers
+    )
+    reps = clusterer._representatives(projected, weights, labels, centers)
+    return labels, reps, chosen_k, bic_by_k
+
+
+def _sweep_case(name):
+    rng = np.random.default_rng(11)
+    if name == "random":
+        return rng.random((40, 24)), rng.integers(1, 500, 40).astype(float)
+    if name == "duplicates":
+        rows = rng.random((4, 24))[rng.integers(0, 4, 30)]
+        return rows, rng.integers(1, 500, 30).astype(float)
+    return rng.random((7, 24)), np.ones(7)  # n < maxK
+
+
+class TestSweepDerivation:
+    """``fit(..., max_ks)`` equals one independent sweep per maxK."""
+
+    MAX_KS = (1, 5, 10, 20)
+
+    @staticmethod
+    def _clusterer():
+        return SimPointClusterer(SimPointConfig(kmeans_restarts=2))
+
+    @pytest.mark.parametrize("case", ["random", "duplicates", "small"])
+    def test_matches_per_max_k_oracle(self, case):
+        signatures, weights = _sweep_case(case)
+        clusterer = self._clusterer()
+        derived = clusterer.fit(signatures, weights, self.MAX_KS)
+        assert sorted(derived) == list(self.MAX_KS)
+        for max_k in self.MAX_KS:
+            labels, reps, chosen_k, bic_by_k = _per_max_k_oracle(
+                clusterer, signatures, weights, max_k
+            )
+            result = derived[max_k]
+            assert result.labels.tolist() == labels.tolist()
+            assert result.representatives == reps
+            assert result.chosen_k == chosen_k
+            assert result.bic_by_k == bic_by_k
+
+    def test_default_fit_is_the_configured_max_k(self):
+        signatures, weights = _sweep_case("random")
+        clusterer = self._clusterer()
+        max_k = clusterer.config.max_k
+        single = clusterer.fit(signatures, weights)
+        many = clusterer.fit(signatures, weights, (max_k,))
+        assert single.labels.tolist() == many[max_k].labels.tolist()
+        assert single.representatives == many[max_k].representatives
+        assert single.bic_by_k == many[max_k].bic_by_k
+
+    @pytest.mark.parametrize("case", ["random", "small"])
+    def test_one_sweep_of_kmeans_fits(self, case, monkeypatch):
+        signatures, weights = _sweep_case(case)
+        calls = []
+        real = simpoint.weighted_kmeans
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simpoint, "weighted_kmeans", counting)
+        self._clusterer().fit(signatures, weights, self.MAX_KS)
+        n = signatures.shape[0]
+        assert calls == list(range(1, min(max(self.MAX_KS), n) + 1))
+
+    def test_bad_max_ks(self):
+        signatures, weights = _sweep_case("small")
+        for bad in ((), (0, 5)):
+            with pytest.raises(ClusteringError):
+                self._clusterer().fit(signatures, weights, bad)

@@ -1,15 +1,24 @@
 """Tests for the experiment harness (small-scale, reduced suite)."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.config import SimPointConfig
+from repro.core import pipeline
 from repro.experiments import paper_data
-from repro.experiments.common import ExperimentRunner, experiment_machine
+from repro.experiments.common import (
+    CORE_COUNTS,
+    ExperimentRunner,
+    experiment_machine,
+)
 from repro.experiments import (
     ablations,
     fig1_barrier_counts,
     fig3_ipc_trace,
     fig4_perfect_warmup,
+    fig5_maxk_methods,
     fig6_cross_validation,
     fig8_relative_scaling,
     fig9_speedups,
@@ -41,6 +50,9 @@ class TestCommon:
         assert runner.profiles("npb-is", 8) is prof
         sel = runner.selection("npb-is", 8)
         assert runner.selection("npb-is", 8) is sel
+        assert runner.selection("npb-is", 8) is runner.selection(
+            "npb-is", 8, max_k=runner.simpoint.max_k
+        )
 
 
 class TestFig1(object):
@@ -79,6 +91,31 @@ class TestFig4:
     def test_render_mentions_paper(self, runner):
         out = fig4_perfect_warmup.run(runner)
         assert "paper: 0.6%" in out
+
+
+class TestFig5:
+    def test_grid_and_one_signature_build_per_sweep(self, runner, monkeypatch):
+        builds = Counter()
+        real = pipeline.build_signature_matrix
+
+        def counting(profiles, config):
+            builds[(id(profiles), config)] += 1
+            return real(profiles, config)
+
+        monkeypatch.setattr(pipeline, "build_signature_matrix", counting)
+        data = fig5_maxk_methods.compute(runner)
+        assert set(data["grid"]) == {
+            (variant, k)
+            for variant in fig5_maxk_methods.VARIANTS
+            for k in fig5_maxk_methods.MAX_K_SWEEP
+        }
+        assert len(data["grid"]) == 7 * 4
+        assert all(np.isfinite(v) for v in data["grid"].values())
+        assert data["best_max_k"] in fig5_maxk_methods.MAX_K_SWEEP
+        assert data["best_variant"] in fig5_maxk_methods.VARIANTS
+        assert max(builds.values()) == 1
+        assert len(builds) <= 7 * len(runner.benchmarks) * len(CORE_COUNTS)
+        assert "maxK=20" in fig5_maxk_methods.render(data)
 
 
 class TestFig6:
