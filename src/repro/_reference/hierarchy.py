@@ -225,7 +225,7 @@ class ReferenceMemoryHierarchy(MemoryHierarchy):
             mlp=1.0,
         )
 
-    def replay_block(self, core: int, lines, writes) -> None:
-        """Per-line seed replay (the batched path under measurement)."""
-        for line, was_write in zip(lines, writes):
-            self.replay(core, line, was_write)
+    def replay_stream(self, cores, lines, writes) -> None:
+        """Per-line seed replay (the one-pass stream path's oracle)."""
+        for core, line, was_write in zip(cores, lines, writes):
+            self.replay(int(core), line, was_write)

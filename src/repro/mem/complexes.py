@@ -22,8 +22,8 @@ the old local/remote split, and the backend is bit-identical to the flat
 inclusive hierarchy — asserted by the degeneracy battery in
 ``tests/test_mem_backends.py``.
 
-This access path favors readability over the inlined style of the base
-``access_block``: topology machines are sweep subjects, not the
+This access loop favors readability over the inlined style of the base
+``_access_stream``: topology machines are sweep subjects, not the
 benchmarked hot path.
 """
 
@@ -65,6 +65,20 @@ class ComplexHierarchy(MemoryHierarchy):
         self._domain_socket = list(topo.domain_socket)
         self._hop_extra = topo.hop_extra_table()
         self._l3_lat = slice_config.latency_cycles
+        # Per-core access-loop context over the complex slices, replacing
+        # the base class's socket-level one.
+        self._ctx = []
+        for core in range(machine.num_cores):
+            domain = self._domain_of[core]
+            l1, l2, l3 = self.l1d[core], self.l2[core], self.l3[domain]
+            self._ctx.append((
+                self._socket_of[core], domain, self._hop_extra[domain],
+                l1.stats, l1._sets, l1._set_mask, l1._assoc,
+                l2.stats, l2._sets, l2._set_mask, l2._assoc,
+                l3.stats, l3._sets, l3._set_mask, l3._assoc,
+                l2.config.latency_cycles,
+                1 << core,
+            ))
 
     # ------------------------------------------------------------------
     # Helpers (domain-generalized twins of the base class's)
@@ -136,26 +150,16 @@ class ComplexHierarchy(MemoryHierarchy):
     # Access path
     # ------------------------------------------------------------------
 
-    def access_block(self, core, lines, writes, mlp: float) -> float:
-        """Process one block's reference stream; returns stall cycles.
+    def _access_stream(self, cores, lines, writes, mlp: float) -> float:
+        """The access loop: entry ``i`` is ``lines[i]`` issued by ``cores[i]``.
 
         Same contract as the base implementation, with transfers charged
         by topology latency class and counted per class.
         """
         if mlp < 1.0:
             raise SimulationError(f"mlp must be >= 1, got {mlp}")
-        socket = self._socket_of[core]
-        domain = self._domain_of[core]
+        ctx = self._ctx
         domain_of = self._domain_of
-        hop_row = self._hop_extra[domain]
-        l1 = self.l1d[core]
-        l2 = self.l2[core]
-        l3 = self.l3[domain]
-        l1_stats, l2_stats, l3_stats = l1.stats, l2.stats, l3.stats
-        l1_sets, l1_mask, l1_assoc = l1._sets, l1._set_mask, l1._assoc
-        l2_sets, l2_mask, l2_assoc = l2._sets, l2._set_mask, l2._assoc
-        l3_sets, l3_mask, l3_assoc = l3._sets, l3._set_mask, l3._assoc
-        l2_lat = l2.config.latency_cycles
         l3_lat = self._l3_lat
         dram_lat = self.dram.latency_cycles
         homes = self.directory.homes
@@ -163,18 +167,25 @@ class ComplexHierarchy(MemoryHierarchy):
         num_domains = len(self.l3)
         dram_reads = self._dram_reads
         dram_wbs = self._dram_wbs
-        my_bit = 1 << core
         miss = _MISS
 
         loads = stores = l1d_misses = l2_misses = c2c = writebacks = 0
         intra_c2c = xcomplex_c2c = xsocket_c2c = 0
         stall = 0.0
+        core = -1
 
         if type(lines) is not list:
             lines = lines.tolist()
         if type(writes) is not list:
             writes = writes.tolist()
-        for line, w in zip(lines, writes):
+        for entry_core, line, w in zip(cores, lines, writes):
+            if entry_core != core:
+                core = entry_core
+                (socket, domain, hop_row,
+                 l1_stats, l1_sets, l1_mask, l1_assoc,
+                 l2_stats, l2_sets, l2_mask, l2_assoc,
+                 l3_stats, l3_sets, l3_mask, l3_assoc,
+                 l2_lat, my_bit) = ctx[core]
             extra = 0
             home = homes[line % num_homes]
             dir_sharers = home._sharers

@@ -12,15 +12,19 @@ write-through to L3 for accounting); store *timing* is still charged at the
 core via the interval model, and DRAM writeback bandwidth is charged when a
 modified line leaves an L3 or is downgraded by a remote reader.
 
-``access_block`` is the hot path: it processes a whole reference stream of
-one :class:`~repro.trace.program.BlockExec` against dict-based O(1) LRU
-sets, with all per-core invariants (set tables, masks, latencies) bound
-once per core in ``_ctx`` and all statistics accumulated in locals that
-are flushed once per call.  Keep it free of per-access allocations and
-attribute lookups.
+``_access_stream`` is the hot path and the one access loop: it processes
+a reference stream against dict-based O(1) LRU sets, with all per-core
+invariants (set tables, masks, latencies) bound once per core in ``_ctx``
+and rebound only when the issuing core changes, and all statistics
+accumulated in locals.  ``access_block`` feeds it one
+:class:`~repro.trace.program.BlockExec` (a constant core) and
+``replay_stream`` a whole interleaved warmup.  Keep it free of
+per-access allocations and attribute lookups.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from repro.config import MachineConfig
 from repro.errors import SimulationError
@@ -230,7 +234,7 @@ class MemoryHierarchy:
         self._intra_c2c = 0
         self._xcomplex_c2c = 0
         self._xsocket_c2c = 0
-        # Per-core hot-path context: everything ``access_block`` needs,
+        # Per-core hot-path context: everything ``_access_stream`` needs,
         # bound once (caches are flushed in place, never replaced, so the
         # bindings stay valid for the hierarchy's lifetime).
         remote_lat = (
@@ -297,7 +301,7 @@ class MemoryHierarchy:
         """Evict the LRU victim of one L3 set (off-hot-path form).
 
         The shared, readable counterpart of the victim handling that
-        ``access_block`` keeps inlined for speed (see the "keep in sync"
+        ``_access_stream`` keeps inlined for speed (see the "keep in sync"
         note there): dirty-set bookkeeping, then — on the inclusive
         backend — the local-owner writeback and the inclusion purge of
         the socket's private caches.  Non-demand fill paths (the
@@ -380,14 +384,20 @@ class MemoryHierarchy:
         the block's memory-level parallelism (interval-model style); store
         latencies are further scaled by the store-buffer fraction.
         """
+        return self._access_stream(repeat(core), lines, writes, mlp)
+
+    def _access_stream(self, cores, lines, writes, mlp: float) -> float:
+        """The access loop: entry ``i`` is ``lines[i]`` issued by ``cores[i]``.
+
+        The core's ``_ctx`` is rebound only when the core changes; at that
+        point the outgoing core's caches are credited with the run's
+        evictions, L3 misses, and the hits and misses derived from the
+        running totals.  Hierarchy and directory counters are flushed once
+        per call.  ``access_block`` is the constant-core case.
+        """
         if mlp < 1.0:
             raise SimulationError(f"mlp must be >= 1, got {mlp}")
-        (socket,
-         l1_stats, l1_sets, l1_mask, l1_assoc,
-         l2_stats, l2_sets, l2_mask, l2_assoc,
-         l3_stats, l3_sets, l3_mask, l3_assoc, l3_dirty,
-         l2_lat, l3_lat, dram_lat, remote_lat, my_bit,
-         socket_mask) = self._ctx[core]
+        ctx = self._ctx
         directory = self.directory
         dir_sharers = directory._sharers
         dir_owner = directory._owner
@@ -406,17 +416,46 @@ class MemoryHierarchy:
 
         loads = stores = l1d_misses = l2_misses = c2c = writebacks = 0
         intra_c2c = xsocket_c2c = 0
-        l1_hits = l1_missc = l1_evic = 0
-        l2_hits = l2_missc = l2_evic = 0
-        l3_hits = l3_missc = l3_evic = l3_dirty_evic = 0
+        l1_evic = l2_evic = l3_missc = l3_evic = l3_dirty_evic = 0
+        # Running totals at the start of the current core's run: every
+        # access probes L1, every L1 miss L2 and every L2 miss L3, so the
+        # run's per-cache hits and misses follow from these differences.
+        run_accesses = run_l1_misses = run_l2_misses = 0
         invals_sent = downgrades = c2c_dir = 0
         stall = 0.0
+        core = -1
 
         if type(lines) is not list:
             lines = lines.tolist()
         if type(writes) is not list:
             writes = writes.tolist()
-        for line, w in zip(lines, writes):
+        for entry_core, line, w in zip(cores, lines, writes):
+            if entry_core != core:
+                if core >= 0:
+                    accesses = loads + stores
+                    l1m = l1d_misses - run_l1_misses
+                    l2m = l2_misses - run_l2_misses
+                    l1_stats.hits += accesses - run_accesses - l1m
+                    l1_stats.misses += l1m
+                    l1_stats.evictions += l1_evic
+                    l2_stats.hits += l1m - l2m
+                    l2_stats.misses += l2m
+                    l2_stats.evictions += l2_evic
+                    l3_stats.hits += l2m - l3_missc
+                    l3_stats.misses += l3_missc
+                    l3_stats.evictions += l3_evic
+                    l3_stats.dirty_evictions += l3_dirty_evic
+                    run_accesses = accesses
+                    run_l1_misses = l1d_misses
+                    run_l2_misses = l2_misses
+                    l1_evic = l2_evic = l3_missc = l3_evic = l3_dirty_evic = 0
+                core = entry_core
+                (socket,
+                 l1_stats, l1_sets, l1_mask, l1_assoc,
+                 l2_stats, l2_sets, l2_mask, l2_assoc,
+                 l3_stats, l3_sets, l3_mask, l3_assoc, l3_dirty,
+                 l2_lat, l3_lat, dram_lat, remote_lat, my_bit,
+                 socket_mask) = ctx[core]
             extra = 0
             if w:
                 stores += 1
@@ -454,27 +493,22 @@ class MemoryHierarchy:
             s = l1_sets[line & l1_mask]
             if s.pop(line, miss) is not miss:
                 s[line] = None  # promote to MRU
-                l1_hits += 1
                 if w and extra:
                     stall += extra * _STORE_STALL_FRACTION
                 continue
-            l1_missc += 1
             l1d_misses += 1
 
             # L2 probe.
             s2 = l2_sets[line & l2_mask]
             if s2.pop(line, miss) is not miss:
                 s2[line] = None
-                l2_hits += 1
                 extra += l2_lat
             else:
-                l2_missc += 1
                 l2_misses += 1
                 # L3 probe.
                 s3 = l3_sets[line & l3_mask]
                 if s3.pop(line, miss) is not miss:
                     s3[line] = None
-                    l3_hits += 1
                     extra += l3_lat
                 else:
                     l3_missc += 1
@@ -584,16 +618,19 @@ class MemoryHierarchy:
         self._writebacks += writebacks
         self._intra_c2c += intra_c2c
         self._xsocket_c2c += xsocket_c2c
-        l1_stats.hits += l1_hits
-        l1_stats.misses += l1_missc
-        l1_stats.evictions += l1_evic
-        l2_stats.hits += l2_hits
-        l2_stats.misses += l2_missc
-        l2_stats.evictions += l2_evic
-        l3_stats.hits += l3_hits
-        l3_stats.misses += l3_missc
-        l3_stats.evictions += l3_evic
-        l3_stats.dirty_evictions += l3_dirty_evic
+        if core >= 0:
+            l1m = l1d_misses - run_l1_misses
+            l2m = l2_misses - run_l2_misses
+            l1_stats.hits += loads + stores - run_accesses - l1m
+            l1_stats.misses += l1m
+            l1_stats.evictions += l1_evic
+            l2_stats.hits += l1m - l2m
+            l2_stats.misses += l2m
+            l2_stats.evictions += l2_evic
+            l3_stats.hits += l2m - l3_missc
+            l3_stats.misses += l3_missc
+            l3_stats.evictions += l3_evic
+            l3_stats.dirty_evictions += l3_dirty_evic
         dir_stats.invalidations_sent += invals_sent
         dir_stats.downgrades += downgrades
         dir_stats.cache_to_cache += c2c_dir
@@ -629,22 +666,25 @@ class MemoryHierarchy:
 
     def replay(self, core: int, line: int, was_write: bool) -> None:
         """Warmup replay of one captured line (latency discarded)."""
-        self.replay_block(core, [line], [was_write])
+        self.replay_stream([core], [line], [was_write])
 
-    def replay_block(self, core: int, lines, writes) -> None:
-        """Warmup replay of a batch of captured lines for one core.
+    def replay_stream(self, cores, lines, writes) -> None:
+        """Warmup replay of an interleaved stream of captured lines.
 
-        ``lines``/``writes`` may be lists or numpy arrays; semantically
-        identical to calling :meth:`replay` per entry, without the
-        per-line call overhead.  Prefetching backends are suppressed for
-        the duration: replay is checkpoint-style state *reconstruction*,
-        so only the captured lines themselves may be installed — a
-        speculative next-line fill would evict genuinely captured state.
+        Entry ``i`` replays ``lines[i]`` on core ``cores[i]``; all three
+        may be lists or numpy arrays.  Semantically identical to calling
+        :meth:`replay` per entry, in one pass of the access loop.
+        Prefetching backends are suppressed for the duration: replay is
+        checkpoint-style state *reconstruction*, so only the captured
+        lines themselves may be installed — a speculative next-line fill
+        would evict genuinely captured state.
         """
+        if type(cores) is not list:
+            cores = cores.tolist()
         saved_degree = self.prefetch_degree
         self.prefetch_degree = 0
         try:
-            self.access_block(core, lines, writes, mlp=1.0)
+            self._access_stream(cores, lines, writes, mlp=1.0)
         finally:
             self.prefetch_degree = saved_degree
 

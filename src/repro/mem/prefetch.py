@@ -47,7 +47,7 @@ class NextLinePrefetchHierarchy(MemoryHierarchy):
         """Issue next-line prefetches for one demand L2 miss.
 
         Runs off the hot path (only on L2 misses of this backend), so it
-        favors clarity over the inlined style of ``access_block``.
+        favors clarity over the inlined style of ``_access_stream``.
         """
         socket = self._socket_of[core]
         l2 = self.l2[core]

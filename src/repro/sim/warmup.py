@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.mem.hierarchy import MemoryHierarchy
 
@@ -115,41 +117,27 @@ class MRUWarmup:
         # Stream i replays onto core i (checked against num_cores above),
         # so each socket structurally holds at most cores_per_socket
         # streams — the per-socket count needs no further clamping.
-        streams_per_socket = [0] * machine.num_sockets
-        for stream_index in range(len(self.data.per_core)):
-            streams_per_socket[machine.socket_of(stream_index)] += 1
-        streams: list[tuple[list[int], list[bool]]] = []
-        for stream_index, core_data in enumerate(self.data.per_core):
-            sharers = max(
-                1, streams_per_socket[machine.socket_of(stream_index)]
-            )
-            dirty_window = max(1, llc_lines // sharers)
-            clean_until = len(core_data) - dirty_window
-            streams.append((
-                [line for line, _ in core_data],
-                [
-                    (was_write if i >= clean_until else False)
-                    for i, (_, was_write) in enumerate(core_data)
-                ],
-            ))
-        # Consecutive same-core entries of the interleaving are replayed
-        # through the batched path in one call.
-        replay_block = hierarchy.replay_block
-        group_core = -1
-        group_lines: list[int] = []
-        group_writes: list[bool] = []
-        rounds = max((len(s[0]) for s in streams), default=0)
-        for cursor in range(rounds):
-            for core, (lines, writes) in enumerate(streams):
-                if cursor >= len(lines):
-                    continue
-                if core != group_core:
-                    if group_lines:
-                        replay_block(group_core, group_lines, group_writes)
-                    group_core = core
-                    group_lines = []
-                    group_writes = []
-                group_lines.append(lines[cursor])
-                group_writes.append(writes[cursor])
-        if group_lines:
-            replay_block(group_core, group_lines, group_writes)
+        per_core = self.data.per_core
+        sockets = np.array(
+            [machine.socket_of(i) for i in range(len(per_core))],
+            dtype=np.int64,
+        )
+        sharers = np.bincount(sockets, minlength=machine.num_sockets)[sockets]
+        windows = np.maximum(1, llc_lines // sharers)
+        lengths = np.array([len(c) for c in per_core], dtype=np.int64)
+        # The interleave as a padded (rounds x streams) matrix: row
+        # ``cursor`` holds every stream's ``cursor``-th entry, and
+        # ``valid`` masks the padding of shorter (or empty) streams.
+        # Filling through the transposed views places the stream-major
+        # flattened capture; reading ``[valid]`` yields it cursor-major.
+        cursor = np.arange(lengths.max(initial=0), dtype=np.int64)[:, None]
+        valid = cursor < lengths
+        shape = valid.shape
+        lines = np.zeros(shape, dtype=np.int64)
+        writes = np.zeros(shape, dtype=bool)
+        lines.T[valid.T] = [line for c in per_core for line, _ in c]
+        writes.T[valid.T] = [w for c in per_core for _, w in c]
+        # Entries older than the stream's dirty window replay as reads.
+        writes &= cursor >= lengths - windows
+        cores = np.broadcast_to(np.arange(len(per_core)), shape)
+        hierarchy.replay_stream(cores[valid], lines[valid], writes[valid])

@@ -9,6 +9,8 @@ different" (the same idiom as the Numba-vs-Python proxy parity tests the
 SNIPPETS exemplars use).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from repro._reference import (
     ReferenceMRUTracker,
     ReferenceSetAssocCache,
 )
-from repro.config import CacheConfig
+from repro.config import CacheConfig, TopologyConfig
+from repro.mem.backends import HIERARCHY_BACKENDS, hierarchy_backend
 from repro.mem.cache import SetAssocCache
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.profiling.ldv import (
@@ -386,6 +389,24 @@ def _seeded_batches(seed: int, num_cores: int, rounds: int = 40):
     return batches
 
 
+def _switching_stream(rng, num_cores: int, n: int):
+    """A warmup stream whose core changes at every entry.
+
+    Line ids mix small negative ones with ids around ±2^61 and ±2^62, so
+    distinct lines collide in every set.
+    """
+    steps = rng.integers(1, num_cores, size=n)
+    cores = (int(rng.integers(0, num_cores)) + np.cumsum(steps)) % num_cores
+    bases = np.array(
+        [-(1 << 62), -(1 << 61), -3000, 0, 1 << 61, (1 << 62) - 4096],
+        dtype=np.int64,
+    )
+    lines = rng.integers(0, 1500, size=n) + bases[
+        rng.integers(0, bases.size, size=n)
+    ]
+    return cores, lines.astype(np.int64), rng.random(n) < 0.3
+
+
 class TestSeededReferenceParity:
     """The py engines against the seed reference on long seeded streams.
 
@@ -431,14 +452,40 @@ class TestSeededReferenceParity:
             for core, lines, writes, mlp in _seeded_batches(29, 8, 12):
                 assert fast.access_block(core, lines, writes, mlp) == \
                     ref.access_block(core, lines, writes, mlp)
-                replay = rng.integers(0, 2000, size=40).astype(np.int64)
-                rwrites = rng.random(40) < 0.3
-                fast.replay_block(core, replay, rwrites)
-                ref.replay_block(core, replay, rwrites)
+                cores, replay, rwrites = _switching_stream(rng, 8, 40)
+                fast.replay_stream(cores, replay, rwrites)
+                ref.replay_stream(cores, replay, rwrites)
             TestHierarchyParity._assert_hierarchy_state_equal(fast, ref)
             fast.flush_all()
             ref.flush_all()
             TestHierarchyParity._assert_hierarchy_state_equal(fast, ref)
+
+    @pytest.mark.parametrize("backend", sorted(HIERARCHY_BACKENDS))
+    def test_replay_stream_matches_per_entry_replay(self, backend):
+        """One ``replay_stream`` pass equals ``replay`` entry by entry on
+        the same backend, with demand blocks interleaved between streams."""
+        machine = replace(tiny_machine(num_sockets=2), hierarchy=backend)
+        if backend == "complex":
+            machine = replace(machine, topology=TopologyConfig(
+                cores_per_complex=(2, 2), cross_complex_extra_cycles=12))
+        cls = hierarchy_backend(backend)
+        stream, per_entry = cls(machine), cls(machine)
+        rng = np.random.default_rng(41)
+        for step, (core, lines, writes, mlp) in enumerate(
+            _seeded_batches(43, 8, 30)
+        ):
+            assert stream.access_block(core, lines, writes, mlp) == \
+                per_entry.access_block(core, lines, writes, mlp)
+            cores, replay, rwrites = _switching_stream(rng, 8, 60)
+            stream.replay_stream(cores, replay, rwrites)
+            for c, line, w in zip(cores.tolist(), replay.tolist(),
+                                  rwrites.tolist()):
+                per_entry.replay(c, line, w)
+            if step % 10 == 9:
+                stream.flush_all()
+                per_entry.flush_all()
+        TestHierarchyParity._assert_hierarchy_state_equal(stream, per_entry)
+        assert stream.snapshot() == per_entry.snapshot()
 
     def test_extreme_addresses_and_directory_growth(self):
         fast, ref = self._pair()

@@ -1,9 +1,13 @@
 """Tests for warmup strategies: cold flush and MRU replay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config import TopologyConfig
 from repro.errors import SimulationError
+from repro.mem.backends import HIERARCHY_BACKENDS, hierarchy_backend
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.warmup import ColdWarmup, MRUWarmup, MRUWarmupData
 from tests.conftest import tiny_machine
@@ -185,3 +189,91 @@ class TestMRUWarmup:
         MRUWarmup(data).prepare(h, 3)
         for core, line in enumerate((1, 2, 3, 4)):
             assert h.l1d[core].contains(line)
+
+
+def _grouped_interleave(hierarchy, per_core):
+    """Loop oracle for ``prepare``: cursor-major round-robin with the
+    per-socket dirty window, replayed entry by entry."""
+    machine = hierarchy.machine
+    llc_lines = machine.l3.num_lines
+    hierarchy.flush_all()
+    streams_per_socket = [0] * machine.num_sockets
+    for stream_index in range(len(per_core)):
+        streams_per_socket[machine.socket_of(stream_index)] += 1
+    streams = []
+    for stream_index, core_data in enumerate(per_core):
+        sharers = max(1, streams_per_socket[machine.socket_of(stream_index)])
+        clean_until = len(core_data) - max(1, llc_lines // sharers)
+        streams.append([
+            (line, was_write if i >= clean_until else False)
+            for i, (line, was_write) in enumerate(core_data)
+        ])
+    rounds = max((len(s) for s in streams), default=0)
+    for cursor in range(rounds):
+        for core, entries in enumerate(streams):
+            if cursor < len(entries):
+                hierarchy.replay(core, *entries[cursor])
+
+
+def _state(h):
+    caches = tuple(
+        (c.resident_lines(), vars(c.stats))
+        for c in (*h.l1i, *h.l1d, *h.l2, *h.l3)
+    )
+    d = h.directory
+    return (caches, d._sharers, d._owner, vars(d.stats),
+            h.snapshot().to_state())
+
+
+def _ragged_capture(seed, lengths):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        tuple(
+            (int(line), bool(w))
+            for line, w in zip(rng.integers(-600, 2400, size=n),
+                               rng.random(n) < 0.4)
+        )
+        for n in lengths
+    )
+
+
+class TestInterleavedStream:
+    """``prepare`` builds the round-robin order in one vectorised pass."""
+
+    @pytest.mark.parametrize("backend", sorted(HIERARCHY_BACKENDS))
+    @pytest.mark.parametrize("lengths", [
+        (0, 0, 0, 0),                 # all-empty capture (region 0)
+        (40, 0, 7, 0),                # empty streams in between
+        (5, 900, 3, 12),              # one stream longer than the rest
+        (300, 300, 0, 0, 10, 0, 700),  # ragged over two sockets
+    ])
+    def test_matches_grouped_interleave(self, backend, lengths):
+        machine = replace(tiny_machine(num_sockets=2), hierarchy=backend)
+        if backend == "complex":
+            machine = replace(machine, topology=TopologyConfig(
+                cores_per_complex=(2, 2), cross_complex_extra_cycles=12))
+        per_core = _ragged_capture(len(lengths) * 7 + sum(lengths), lengths)
+        stream = hierarchy_backend(backend)(machine)
+        oracle = hierarchy_backend(backend)(machine)
+        # Both start from the same dirty state, which prepare must flush.
+        for h in (stream, oracle):
+            h.access_block(1, np.arange(64), np.ones(64, dtype=bool), 1.0)
+        MRUWarmup(_data(per_core=per_core)).prepare(stream, 3)
+        _grouped_interleave(oracle, per_core)
+        assert _state(stream) == _state(oracle)
+
+    def test_one_replay_stream_call_per_barrierpoint(self):
+        h = MemoryHierarchy(tiny_machine())
+        calls = []
+        replay_stream = h.replay_stream
+
+        def counting(cores, lines, writes):
+            calls.append(len(lines))
+            replay_stream(cores, lines, writes)
+
+        h.replay_stream = counting
+        for lengths in ((0, 0, 0, 0), (3, 1, 0, 2), (50, 50, 50, 50)):
+            calls.clear()
+            per_core = _ragged_capture(5, lengths)
+            MRUWarmup(_data(per_core=per_core)).prepare(h, 3)
+            assert calls == [sum(lengths)]
