@@ -20,22 +20,24 @@ from repro.util.tables import format_table
 def compute_thread_combining(runner: ExperimentRunner) -> list[dict]:
     """Concat-vs-sum error per benchmark (averaged over core counts)."""
     rows = []
+    summed = SignatureConfig(kind="combined", thread_mode="sum")
     for name in runner.benchmarks:
-        errors = {"concat": [], "sum": []}
-        for mode in ("concat", "sum"):
-            signature = SignatureConfig(kind="combined", thread_mode=mode)
-            for nt in CORE_COUNTS:
-                pipe = runner.pipeline(nt, signature)
-                sel = pipe.select(
-                    runner.workload(name, nt), runner.profiles(name, nt)
-                )
-                result = pipe.evaluate_perfect(sel, runner.full(name, nt))
-                errors[mode].append(result.runtime_error_pct)
+        concat, sums = [], []
+        for nt in CORE_COUNTS:
+            # Concatenation is the default ``combine`` signature: reuse the
+            # runner's memoized selection instead of re-clustering it.
+            concat.append(runner.evaluate_perfect(name, nt).runtime_error_pct)
+            pipe = runner.pipeline(nt, summed)
+            sel = pipe.select(
+                runner.workload(name, nt), runner.profiles(name, nt)
+            )
+            result = pipe.evaluate_perfect(sel, runner.full(name, nt))
+            sums.append(result.runtime_error_pct)
         rows.append(
             {
                 "benchmark": name,
-                "concat_error": float(np.mean(errors["concat"])),
-                "sum_error": float(np.mean(errors["sum"])),
+                "concat_error": float(np.mean(concat)),
+                "sum_error": float(np.mean(sums)),
             }
         )
     return rows

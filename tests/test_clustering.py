@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from repro.clustering import kmeans, simpoint
 from repro.clustering.bic import weighted_bic
 from repro.clustering.kmeans import (
+    KMeansResult,
+    _cdf,
     _draw,
-    _kmeans_pp_init,
-    _pairwise_sq_dists,
-    _sq_norms,
+    _kmeans_pp_picks,
     weighted_kmeans,
 )
 from repro.clustering.normalize import normalize_l1, normalize_rows
@@ -159,18 +159,270 @@ class TestWeightedKMeans:
         assert np.isfinite(result.centers).all()
 
 
+# -- The restart-at-a-time k-means, kept verbatim as the oracle -------------
+#
+# ``weighted_kmeans`` fits all restarts in lockstep and must give exactly
+# what fitting them one after another gave: same labels, centers,
+# distortion, iteration count and generator stream.  These functions are
+# that sequential implementation, unchanged but for the ``_oracle_``
+# prefix on their names.
+
+
+def _oracle_sq_norms(points: np.ndarray) -> np.ndarray:
+    """Squared row norms as a column, the ``p_sq`` of the distances."""
+    return np.einsum("ij,ij->i", points, points)[:, None]
+
+
+def _oracle_pairwise_sq_dists(
+    points: np.ndarray, centers: np.ndarray, p_sq: np.ndarray
+) -> np.ndarray:
+    """Squared Euclidean distances, shape (n_points, n_centers).
+
+    ``p_sq`` is ``_sq_norms(points)``, computed once per fit.
+    """
+    c_sq = np.einsum("ij,ij->i", centers, centers)[None, :]
+    cross = points @ centers.T
+    return np.maximum(p_sq + c_sq - 2.0 * cross, 0.0)
+
+
+def _oracle_draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """One index drawn with probabilities ``p``.
+
+    Bit-identical to ``rng.choice(len(p), p=p)``: the same cumulative
+    table searched with the same single ``Generator.random`` draw, minus
+    ``choice``'s per-call validation.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _oracle_kmeans_pp_init(
+    points: np.ndarray,
+    weights: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    p_sq: np.ndarray,
+) -> np.ndarray:
+    """Weighted k-means++ seeding."""
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    probs = weights / weights.sum()
+    first = _oracle_draw(rng, probs)
+    centers[0] = points[first]
+    closest = _oracle_pairwise_sq_dists(points, centers[:1], p_sq).ravel()
+    for j in range(1, k):
+        scores = closest * weights
+        total = scores.sum()
+        if total <= 0.0:
+            # All points coincide with chosen centers; reuse random picks.
+            idx = _oracle_draw(rng, probs)
+        else:
+            idx = _oracle_draw(rng, scores / total)
+        centers[j] = points[idx]
+        closest = np.minimum(
+            closest,
+            _oracle_pairwise_sq_dists(points, centers[j : j + 1], p_sq).ravel(),
+        )
+    return centers
+
+
+def _oracle_weighted_kmeans(
+    points: np.ndarray,
+    weights: np.ndarray,
+    k: int,
+    seed: int,
+    max_iterations: int = 100,
+    restarts: int = 5,
+) -> KMeansResult:
+    """Fit ``k`` clusters minimizing weighted distortion; best of restarts.
+
+    Distortion is ``sum_i w_i * ||x_i - c_{label(i)}||^2``.  Empty clusters
+    are re-seeded with the point of largest weighted residual.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    wts = np.asarray(weights, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ClusteringError(f"points must be 2-D, got shape {pts.shape}")
+    n = pts.shape[0]
+    if wts.shape != (n,):
+        raise ClusteringError(f"weights shape {wts.shape} != ({n},)")
+    if np.any(wts <= 0):
+        raise ClusteringError("weights must be strictly positive")
+    if not 1 <= k <= n:
+        raise ClusteringError(f"k must be in [1, {n}], got {k}")
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    p_sq = _oracle_sq_norms(pts)
+    rows = np.arange(n)
+    weighted_pts = pts * wts[:, None]
+    best: KMeansResult | None = None
+    for _ in range(max(1, restarts)):
+        centers = _oracle_kmeans_pp_init(pts, wts, k, rng, p_sq)
+        labels = np.zeros(n, dtype=np.int64)
+        iterations = 0
+        for iterations in range(1, max_iterations + 1):
+            dists = _oracle_pairwise_sq_dists(pts, centers, p_sq)
+            new_labels = dists.argmin(axis=1)
+            # Re-seed any empty cluster with the worst-fit point.  Zero the
+            # stolen point's residual so two empty clusters never take the
+            # same point, and never steal a cluster's only member (that
+            # would just move the hole) -- so one bincount up front finds
+            # every cluster that needs a reseed.
+            empty = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
+            for j in empty:
+                residuals = dists[rows, new_labels] * wts
+                counts = np.bincount(new_labels, minlength=k)
+                stealable = counts[new_labels] > 1
+                if not np.any(stealable):
+                    break  # fewer distinct points than clusters
+                residuals[~stealable] = -1.0
+                worst = int(residuals.argmax())
+                new_labels[worst] = j
+                centers[j] = pts[worst]
+                dists[worst, :] = np.inf
+                dists[worst, j] = 0.0
+            if np.array_equal(new_labels, labels) and iterations > 1:
+                break
+            labels = new_labels
+            # Weighted centroids.  A stable sort by label lays each
+            # cluster's members out contiguously in ascending order, so
+            # every per-cluster sum sees the same rows in the same order
+            # as summing ``pts[members] * w[:, None]`` directly.
+            # Duplicate-heavy data can leave a cluster empty: it keeps its
+            # old center.
+            order = labels.argsort(kind="stable")
+            grouped_pts = weighted_pts[order]
+            grouped_wts = wts[order]
+            ends = np.bincount(labels, minlength=k).cumsum().tolist()
+            for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
+                if lo < hi:
+                    centers[j] = np.add.reduce(
+                        grouped_pts[lo:hi], axis=0
+                    ) / np.add.reduce(grouped_wts[lo:hi])
+        dists = _oracle_pairwise_sq_dists(pts, centers, p_sq)
+        distortion = float((dists[rows, labels] * wts).sum())
+        candidate = KMeansResult(
+            labels=labels, centers=centers.copy(),
+            distortion=distortion, iterations=iterations,
+        )
+        if best is None or candidate.distortion < best.distortion:
+            best = candidate
+    assert best is not None
+    return best
+
+
+def _oracle_case(seed: int):
+    """One random ``weighted_kmeans`` call: (points, weights, k, seed,
+    max_iterations, restarts).
+
+    Points are spread, duplicate-heavy (a few distinct rows repeated) or
+    all equal, at scales from 1e-3 to 1e3, in 1..16 dimensions; weights
+    are integers (up to 1e9) or fractional; k runs over 1..n.
+    """
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(1, 41))
+    d = int(gen.integers(1, 17))
+    shape = int(gen.integers(0, 4))
+    if shape == 0:
+        points = gen.normal(size=(n, d))
+    elif shape == 1:
+        distinct = gen.normal(size=(int(gen.integers(1, 4)), d))
+        points = distinct[gen.integers(0, len(distinct), n)]
+    elif shape == 2:
+        points = np.full((n, d), float(gen.normal()))
+    else:
+        points = gen.random((n, d)) * 10.0 ** gen.integers(-3, 4)
+    if gen.random() < 0.5:
+        top = 10 ** int(gen.integers(1, 10))
+        weights = gen.integers(1, top, n).astype(np.float64)
+    else:
+        weights = gen.random(n) * 100.0 + 1e-3
+    return (
+        points, weights, int(gen.integers(1, n + 1)),
+        int(gen.integers(0, 2**31)), int(gen.choice([0, 1, 2, 100])),
+        int(gen.choice([1, 5])),
+    )
+
+
+class TestLockstepMatchesSequential:
+    """Every restart in lockstep gives the sequential fit, bit for bit."""
+
+    CHUNKS = 10
+    PER_CHUNK = 120
+
+    @staticmethod
+    def _assert_identical(ours: KMeansResult, oracle: KMeansResult) -> None:
+        assert ours.labels.dtype == oracle.labels.dtype
+        assert ours.labels.tobytes() == oracle.labels.tobytes()
+        assert ours.centers.shape == oracle.centers.shape
+        assert ours.centers.tobytes() == oracle.centers.tobytes()
+        assert repr(ours.distortion) == repr(oracle.distortion)
+        assert ours.iterations == oracle.iterations
+
+    @pytest.mark.parametrize("chunk", range(CHUNKS))
+    def test_random_cases(self, chunk, monkeypatch):
+        branches = {"bincount": 0, "reduce": 0}
+        for name, key in (("_centroids_bincount", "bincount"),
+                          ("_centroids_reduce", "reduce")):
+            def spy(*args, _fn=getattr(kmeans, name), _key=key):
+                branches[_key] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(kmeans, name, spy)
+        first = chunk * self.PER_CHUNK
+        for seed in range(first, first + self.PER_CHUNK):
+            args = _oracle_case(seed)
+            self._assert_identical(
+                weighted_kmeans(*args), _oracle_weighted_kmeans(*args)
+            )
+        # Both centroid sums are exercised in every chunk.
+        assert branches["bincount"] > 0 and branches["reduce"] > 0
+
+    def test_case_coverage(self):
+        """The random cases span the promised input space."""
+        cases = [
+            _oracle_case(seed)
+            for seed in range(self.CHUNKS * self.PER_CHUNK)
+        ]
+        assert len(cases) >= 1000
+        assert {pts.shape[1] for pts, *_ in cases} == set(range(1, 17))
+        assert {c[4] for c in cases} == {0, 1, 2, 100}
+        assert {c[5] for c in cases} == {1, 5}
+        assert any(c[2] == 1 for c in cases)
+        assert any(c[2] == c[0].shape[0] > 1 for c in cases)
+        integral = [bool(np.all(w == np.floor(w))) for _, w, *_ in cases]
+        assert any(integral) and not all(integral)
+        assert any(
+            pts.shape[0] > 1 and np.all(pts == pts[0]) for pts, *_ in cases
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pipeline_shaped_fits(self, seed):
+        """Projected-signature-like inputs: 15 dims, instruction-count
+        weights, the Table II restarts and iteration cap, every k."""
+        gen = np.random.default_rng(seed)
+        phases = gen.random((6, 15))
+        points = phases[gen.integers(0, 6, 60)] + gen.normal(0, 1e-3, (60, 15))
+        weights = gen.integers(10**4, 10**7, 60).astype(np.float64)
+        for k in range(1, 21):
+            args = (points, weights, k, 42 + k, 100, 5)
+            self._assert_identical(
+                weighted_kmeans(*args), _oracle_weighted_kmeans(*args)
+            )
+
+
 def _choice_pp_init(points, weights, k, rng):
     """k-means++ seeding drawn with ``Generator.choice`` (the oracle).
 
     Returns the centers and the index of every pick.
     """
     n = points.shape[0]
-    p_sq = _sq_norms(points)
+    p_sq = _oracle_sq_norms(points)
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     probs = weights / weights.sum()
     picks = [rng.choice(n, p=probs)]
     centers[0] = points[picks[0]]
-    closest = _pairwise_sq_dists(points, centers[:1], p_sq).ravel()
+    closest = _oracle_pairwise_sq_dists(points, centers[:1], p_sq).ravel()
     for j in range(1, k):
         scores = closest * weights
         total = scores.sum()
@@ -180,42 +432,36 @@ def _choice_pp_init(points, weights, k, rng):
             picks.append(rng.choice(n, p=scores / total))
         centers[j] = points[picks[-1]]
         closest = np.minimum(
-            closest, _pairwise_sq_dists(points, centers[j : j + 1], p_sq).ravel()
+            closest,
+            _oracle_pairwise_sq_dists(points, centers[j : j + 1], p_sq).ravel(),
         )
     return centers, picks
 
 
 class TestKMeansPlusPlusDraws:
-    """The cumsum + searchsorted draw is ``Generator.choice``, bit for bit."""
+    """The lockstep draws are ``Generator.choice``, bit for bit: restart
+    ``r`` of one seeding picks what the ``r``-th of a run of one-restart
+    seedings on the same generator picks."""
 
     @staticmethod
     def _rng(seed):
         return np.random.Generator(np.random.PCG64(seed))
 
-    @staticmethod
-    def _pp_init(points, weights, k, rng, monkeypatch):
-        """``_kmeans_pp_init``'s centers and the index of every pick."""
-        picks = []
-
-        def recording(rng, p):
-            picks.append(_draw(rng, p))
-            return picks[-1]
-
-        monkeypatch.setattr(kmeans, "_draw", recording)
-        centers = _kmeans_pp_init(points, weights, k, rng, _sq_norms(points))
-        return centers, picks
-
-    def _assert_same_seeding(self, points, weights, ks, seed, monkeypatch):
+    def _assert_same_seeding(self, points, weights, ks, restarts, seed):
         ours, theirs = self._rng(seed), self._rng(seed)
+        p_sq = np.einsum("ij,ij->i", points, points)
         for k in ks:
-            centers, picks = self._pp_init(
-                points, weights, k, ours, monkeypatch
-            )
-            expected_centers, expected_picks = _choice_pp_init(
-                points, weights, k, theirs
-            )
-            assert picks == expected_picks
-            np.testing.assert_array_equal(centers, expected_centers)
+            picks = _kmeans_pp_picks(points, weights, k, restarts, ours, p_sq)
+            assert picks.shape == (restarts, k)
+            for r in range(restarts):
+                expected_centers, expected_picks = _choice_pp_init(
+                    points, weights, k, theirs
+                )
+                assert picks[r].tolist() == expected_picks
+                # ``weighted_kmeans`` starts from ``points[picks]``.
+                assert (
+                    points[picks][r].tobytes() == expected_centers.tobytes()
+                )
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(20))
@@ -226,26 +472,66 @@ class TestKMeansPlusPlusDraws:
         p[-1] += 1e-3  # at least one positive probability
         p /= p.sum()
         ours, theirs = self._rng(seed), self._rng(seed)
-        for _ in range(25):
-            assert _draw(ours, p) == theirs.choice(p.size, p=p)
+        drawn = _draw(_cdf(p), ours.random(25))
+        assert drawn.tolist() == [theirs.choice(p.size, p=p) for _ in range(25)]
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_positive_scores_branch(self, seed, monkeypatch):
+    def test_draw_rows_match_choice(self, seed):
+        """One table per row, one uniform per row, drawn in row order."""
+        data = np.random.default_rng(seed)
+        p = data.random((5, int(data.integers(1, 50))))
+        p[data.random(p.shape) < 0.3] = 0.0
+        p[:, -1] += 1e-3
+        p /= p.sum(axis=1, keepdims=True)
+        ours, theirs = self._rng(seed), self._rng(seed)
+        drawn = _draw(_cdf(p), ours.random(5))
+        assert drawn.tolist() == [
+            theirs.choice(p.shape[1], p=row) for row in p
+        ]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_positive_scores_branch(self, seed):
         data = np.random.default_rng(seed)
         points = data.random((30, 4))
         weights = data.integers(1, 1000, 30).astype(float)
-        self._assert_same_seeding(
-            points, weights, (1, 3, 8, 30), seed, monkeypatch
-        )
+        for restarts in (1, 5):
+            self._assert_same_seeding(
+                points, weights, (1, 3, 8, 30), restarts, seed
+            )
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_coincident_points_branch(self, seed, monkeypatch):
+    def test_coincident_points_branch(self, seed):
         """All points equal: every score is 0 and later picks reuse the
         weight distribution (the ``total <= 0`` branch)."""
         points = np.full((12, 3), 2.5)
         weights = np.random.default_rng(seed).random(12) + 0.5
-        self._assert_same_seeding(points, weights, (6, 12), seed, monkeypatch)
+        for restarts in (1, 5):
+            self._assert_same_seeding(
+                points, weights, (6, 12), restarts, seed
+            )
+
+    def test_mixed_branches_in_one_step(self):
+        """Near-duplicates whose rounded distances are all 0 from point 1
+        but not from points 0 and 2: a restart that starts at point 1
+        takes the ``total <= 0`` branch while the others score."""
+        points = np.array([
+            [-75.46057912599598, 168.91074524438307],
+            [-75.46057912599744, 168.91074524435996],
+            [-75.4605791259906, 168.91074524437764],
+        ])
+        weights = np.array([3.0, 5.0, 2.0])
+        mixed = 0
+        for seed in range(20):
+            ours = self._rng(seed)
+            first = _kmeans_pp_picks(
+                points, weights, 2, 5, ours,
+                np.einsum("ij,ij->i", points, points),
+            )[:, 0]
+            mixed += 1 in first and bool((first != 1).any())
+            self._assert_same_seeding(points, weights, (2, 3), 5, seed)
+        assert mixed > 0
 
 
 class TestWeightedBic:
